@@ -78,8 +78,8 @@ func main() {
 	fmt.Println("\ndrill-out cube (first rows):")
 	small := cube.Clone()
 	small.Sort()
-	if len(small.Rows) > 5 {
-		small.Rows = small.Rows[:5]
+	if small.Len() > 5 {
+		small = small.Select(func(i int) bool { return i < 5 })
 	}
 	px := datagen.Prefixes()
 	px["d"] = datagen.NS

@@ -1,12 +1,27 @@
 // Package algebra implements a small bag-semantics relational algebra —
 // selection σ, projection π, duplicate elimination δ, grouping with
-// aggregation γ, and hash joins ⋈ — over tables whose cells are RDF term
-// IDs, numbers, or the synthetic keys of extended measure results.
+// aggregation γ, and joins ⋈ — over columnar relations.
 //
 // Section 3 of the paper expresses its rewriting algorithms in exactly
 // these operators ("all relational algebra operators are assumed to have
 // bag semantics"); the core package executes Algorithms 1 and 2 as plain
 // algebra programs on pres(Q).
+//
+// A Relation stores one typed, pointer-free column per attribute: RDF
+// term IDs ([]dict.ID), the measure keys newk() produces ([]uint64), or
+// numbers ([]float64, the aggregates γ outputs). The kind belongs to the
+// column, not to the cell. Operators work a column at a time: σ and δ
+// find the surviving row indexes and gather each column once; π picks
+// columns without copying them; ⋈ merges inputs sorted on a term key and
+// otherwise probes a hash table over the right side's key runs, then
+// gathers the output columns from the matched index pairs; γ numbers
+// the groups (by run detection on group-sorted input, by hashing
+// otherwise) and folds the measure column into one accumulator per
+// group, resolving each distinct term to a number once.
+//
+// Operators never write into an input's columns; their outputs may share
+// column arrays with their inputs (π always does). Append, Concat and
+// Sort change only the header they are called on.
 package algebra
 
 import (
@@ -19,7 +34,7 @@ import (
 	"rdfcube/internal/hash64"
 )
 
-// ValueKind discriminates cell types.
+// ValueKind discriminates column (and cell) types.
 type ValueKind uint8
 
 // Cell kinds: an RDF term ID, a numeric aggregate, or a measure key
@@ -30,8 +45,8 @@ const (
 	KeyValue
 )
 
-// Value is one relation cell. Values are comparable; equality is
-// structural.
+// Value is one cell as read out of (Cell) or appended to (Append) a
+// relation. Values are comparable; equality is structural.
 type Value struct {
 	Kind ValueKind
 	ID   dict.ID // TermValue
@@ -65,55 +80,184 @@ func (v Value) String() string {
 	}
 }
 
-// Row is one tuple.
+// Row is a tuple of cells, the unit Append takes.
 type Row []Value
 
+// Column holds one attribute's cells in the slice its Kind selects.
+type Column struct {
+	Kind ValueKind
+	IDs  []dict.ID // TermValue
+	Nums []float64 // NumValue
+	Keys []uint64  // KeyValue
+}
+
+// Len reports the number of cells.
+func (c *Column) Len() int {
+	switch c.Kind {
+	case NumValue:
+		return len(c.Nums)
+	case KeyValue:
+		return len(c.Keys)
+	}
+	return len(c.IDs)
+}
+
+// At returns cell i.
+func (c *Column) At(i int) Value {
+	switch c.Kind {
+	case NumValue:
+		return NumV(c.Nums[i])
+	case KeyValue:
+		return KeyV(c.Keys[i])
+	}
+	return TermV(c.IDs[i])
+}
+
+// bits returns cell i's payload as one word. Hashing and equality use
+// it, so numbers compare by bit pattern (NaN equals NaN, -0 differs
+// from +0).
+func (c *Column) bits(i int) uint64 {
+	switch c.Kind {
+	case NumValue:
+		return math.Float64bits(c.Nums[i])
+	case KeyValue:
+		return c.Keys[i]
+	}
+	return uint64(c.IDs[i])
+}
+
+// compare orders cells i and j of c.
+func (c *Column) compare(i, j int) int {
+	var less, greater bool
+	switch c.Kind {
+	case NumValue:
+		less, greater = c.Nums[i] < c.Nums[j], c.Nums[i] > c.Nums[j]
+	case KeyValue:
+		less, greater = c.Keys[i] < c.Keys[j], c.Keys[i] > c.Keys[j]
+	default:
+		less, greater = c.IDs[i] < c.IDs[j], c.IDs[i] > c.IDs[j]
+	}
+	switch {
+	case less:
+		return -1
+	case greater:
+		return 1
+	}
+	return 0
+}
+
+func gatherSlice[T any](s []T, idx []int32) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = s[i]
+	}
+	return out
+}
+
+// gather returns the cells at idx, in idx order, as a new column.
+func (c *Column) gather(idx []int32) Column {
+	out := Column{Kind: c.Kind}
+	switch c.Kind {
+	case NumValue:
+		out.Nums = gatherSlice(c.Nums, idx)
+	case KeyValue:
+		out.Keys = gatherSlice(c.Keys, idx)
+	default:
+		out.IDs = gatherSlice(c.IDs, idx)
+	}
+	return out
+}
+
+// capped returns c with every slice's capacity clipped to its length, so
+// an append to a shared column reallocates instead of writing into an
+// array another relation reads.
+func (c Column) capped() Column {
+	c.IDs, c.Nums, c.Keys = c.IDs[:len(c.IDs):len(c.IDs)], c.Nums[:len(c.Nums):len(c.Nums)], c.Keys[:len(c.Keys):len(c.Keys)]
+	return c
+}
+
+// appendColumn appends src's cells to c. An empty c takes src's kind;
+// otherwise the kinds must agree.
+func (c Column) appendColumn(src *Column) Column {
+	if src.Len() == 0 {
+		return c
+	}
+	if c.Len() == 0 {
+		c.Kind = src.Kind
+	}
+	if c.Kind != src.Kind {
+		panic(fmt.Sprintf("algebra: appending kind-%d cells to a kind-%d column", src.Kind, c.Kind))
+	}
+	c.IDs, c.Nums, c.Keys = append(c.IDs, src.IDs...), append(c.Nums, src.Nums...), append(c.Keys, src.Keys...)
+	return c
+}
+
 // Relation is a named-column table with bag semantics: duplicate rows are
-// meaningful until an explicit δ.
+// meaningful until an explicit δ. Data holds one column per name in
+// Cols, all of equal length.
 //
 // Sorted and Strict carry the physical sort property of the rows, when
 // one is known — typically inherited from the batch BGP engine through
-// core's bridge. Sorted names the columns the rows are lexicographically
-// ordered by (significance order); Strict additionally promises no two
-// rows agree on all Sorted columns. Operators that preserve row order
-// propagate the property; δ and γ exploit it to replace hash tables
-// with run detection. Both are advisory: a nil Sorted is always safe.
+// core. Sorted names the columns the rows are lexicographically ordered
+// by (significance order); Strict additionally promises no two rows
+// agree on all Sorted columns. Operators that preserve row order
+// propagate the property; δ, γ and ⋈ exploit it to replace hash tables
+// with run detection and merging. Both are advisory: a nil Sorted is
+// always safe.
 type Relation struct {
 	Cols   []string
-	Rows   []Row
+	Data   []Column
 	Sorted []string
 	Strict bool
 }
 
-// NewRelation returns an empty relation with the given columns.
+// NewRelation returns an empty relation with the given columns, typed
+// as term columns until something else is appended.
 func NewRelation(cols ...string) *Relation {
-	return &Relation{Cols: append([]string(nil), cols...)}
+	r := &Relation{Cols: append([]string(nil), cols...), Data: make([]Column, len(cols))}
+	for i := range r.Data {
+		r.Data[i].Kind = TermValue
+	}
+	return r
+}
+
+// FromIDRows transposes rows of term IDs (one per column of cols) into
+// a relation, keeping only the rows keep accepts (all when keep is nil).
+// It is the one bridge from the row-shaped BGP results.
+func FromIDRows(cols []string, rows [][]dict.ID, keep func(row []dict.ID) bool) *Relation {
+	sel := make([]int32, 0, len(rows))
+	for i, row := range rows {
+		if keep == nil || keep(row) {
+			sel = append(sel, int32(i))
+		}
+	}
+	r := &Relation{Cols: append([]string(nil), cols...), Data: make([]Column, len(cols))}
+	for j := range r.Data {
+		ids := make([]dict.ID, len(sel))
+		for k, i := range sel {
+			ids[k] = rows[i][j]
+		}
+		r.Data[j] = Column{Kind: TermValue, IDs: ids}
+	}
+	return r
 }
 
 // Len reports the number of rows (with duplicates).
-func (r *Relation) Len() int { return len(r.Rows) }
+func (r *Relation) Len() int {
+	if len(r.Data) == 0 {
+		return 0
+	}
+	return r.Data[0].Len()
+}
 
-// Byte-footprint model: cells dominate; the estimate charges the Value
-// array, the per-row slice header, and the column names, deliberately
-// ignoring allocator slack. Shared by the view registry's byte budget
-// and the per-query cost accounting.
-const (
-	valueBytes  = 32 // unsafe.Sizeof(Value{}) on 64-bit
-	rowOverhead = 24 // slice header per row
-	relOverhead = 64 // Relation struct + slice headers
-)
-
-// EstimateBytes estimates the relation's resident size. Nil-safe.
-func (r *Relation) EstimateBytes() int64 {
+// Bytes reports the size of the relation's cells: every column holds
+// one 8-byte word per row. The view registry's byte budget and the
+// per-query cost accounting both charge it. Nil-safe.
+func (r *Relation) Bytes() int64 {
 	if r == nil {
 		return 0
 	}
-	b := int64(relOverhead)
-	for _, c := range r.Cols {
-		b += int64(16 + len(c))
-	}
-	b += int64(len(r.Rows)) * (rowOverhead + int64(len(r.Cols))*valueBytes)
-	return b
+	return 8 * int64(r.Len()) * int64(len(r.Data))
 }
 
 // Column returns the index of col, or -1.
@@ -136,54 +280,113 @@ func (r *Relation) MustColumn(col string) int {
 	return i
 }
 
-// Append adds a row; the row length must match the column count.
+// Cell returns the cell at row i, column j.
+func (r *Relation) Cell(i, j int) Value { return r.Data[j].At(i) }
+
+// Rows materializes the rows as cells, for tests and debug output.
+func (r *Relation) Rows() []Row {
+	rows := make([]Row, r.Len())
+	for i := range rows {
+		rows[i] = make(Row, len(r.Data))
+		for j := range r.Data {
+			rows[i][j] = r.Data[j].At(i)
+		}
+	}
+	return rows
+}
+
+// Append adds a row; the row length must match the column count, and
+// each cell's kind its column's (an empty column takes the cell's).
 func (r *Relation) Append(row Row) {
 	if len(row) != len(r.Cols) {
 		panic(fmt.Sprintf("algebra: row width %d != %d columns", len(row), len(r.Cols)))
 	}
-	r.Rows = append(r.Rows, row)
+	for j, v := range row {
+		c := &r.Data[j]
+		if c.Len() == 0 {
+			c.Kind = v.Kind
+		}
+		switch {
+		case c.Kind != v.Kind:
+			panic(fmt.Sprintf("algebra: kind-%d cell in kind-%d column %q", v.Kind, c.Kind, r.Cols[j]))
+		case v.Kind == NumValue:
+			c.Nums = append(c.Nums, v.Num)
+		case v.Kind == KeyValue:
+			c.Keys = append(c.Keys, v.Key)
+		default:
+			c.IDs = append(c.IDs, v.ID)
+		}
+	}
+	r.Sorted, r.Strict = nil, false
+}
+
+// Concat returns a new header holding r's rows followed by o's, which
+// must have r's columns. The result may extend r's arrays in place past
+// r's length — r's own cells stay untouched, so readers of r are safe,
+// but r must not be concatenated onto a second time.
+func (r *Relation) Concat(o *Relation) *Relation {
+	if len(o.Cols) != len(r.Cols) {
+		panic(fmt.Sprintf("algebra: concat of %v onto %v", o.Cols, r.Cols))
+	}
+	out := &Relation{Cols: r.Cols, Data: make([]Column, len(r.Data))}
+	for j := range r.Data {
+		out.Data[j] = r.Data[j].appendColumn(&o.Data[j])
+	}
+	return out
 }
 
 // Clone returns a deep copy.
 func (r *Relation) Clone() *Relation {
-	out := &Relation{Cols: append([]string(nil), r.Cols...)}
-	out.Rows = make([]Row, len(r.Rows))
-	for i, row := range r.Rows {
-		out.Rows[i] = append(Row(nil), row...)
+	out := &Relation{Cols: append([]string(nil), r.Cols...), Data: make([]Column, len(r.Data))}
+	for j := range r.Data {
+		out.Data[j] = Column{Kind: r.Data[j].Kind}.appendColumn(&r.Data[j])
 	}
 	out.Sorted, out.Strict = append([]string(nil), r.Sorted...), r.Strict
 	return out
 }
 
-// Select returns σ_pred(r): the rows satisfying pred, bag semantics.
-// Selection keeps row order, so the sort property survives.
-func (r *Relation) Select(pred func(Row) bool) *Relation {
-	out := &Relation{Cols: append([]string(nil), r.Cols...)}
-	for _, row := range r.Rows {
-		if pred(row) {
-			out.Rows = append(out.Rows, row)
+// gather returns the rows at idx, in idx order, with r's columns and no
+// sort property.
+func (r *Relation) gather(idx []int32) *Relation {
+	out := &Relation{Cols: append([]string(nil), r.Cols...), Data: make([]Column, len(r.Data))}
+	for j := range r.Data {
+		out.Data[j] = r.Data[j].gather(idx)
+	}
+	return out
+}
+
+// shared returns a new header over r's columns and sort property.
+func (r *Relation) shared() *Relation {
+	return r.Project(r.Cols...)
+}
+
+// Select returns σ_keep(r): the rows whose index keep accepts, bag
+// semantics. Selection keeps row order, so the sort property survives;
+// when every row survives the columns are shared, not copied.
+func (r *Relation) Select(keep func(i int) bool) *Relation {
+	n := r.Len()
+	idx := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		if keep(i) {
+			idx = append(idx, int32(i))
 		}
 	}
+	if len(idx) == n {
+		return r.shared()
+	}
+	out := r.gather(idx)
 	out.Sorted, out.Strict = append([]string(nil), r.Sorted...), r.Strict
 	return out
 }
 
 // Project returns π_cols(r) with bag semantics (duplicates retained).
-// The longest sorted prefix whose columns all survive still orders the
-// output; strictness survives only when the whole prefix does.
+// The output shares r's column arrays. The longest sorted prefix whose
+// columns all survive still orders the output; strictness survives
+// only when the whole prefix does.
 func (r *Relation) Project(cols ...string) *Relation {
-	idx := make([]int, len(cols))
+	out := &Relation{Cols: append([]string(nil), cols...), Data: make([]Column, len(cols))}
 	for i, c := range cols {
-		idx[i] = r.MustColumn(c)
-	}
-	out := &Relation{Cols: append([]string(nil), cols...)}
-	out.Rows = make([]Row, len(r.Rows))
-	for i, row := range r.Rows {
-		nr := make(Row, len(idx))
-		for j, c := range idx {
-			nr[j] = row[c]
-		}
-		out.Rows[i] = nr
+		out.Data[i] = r.Data[r.MustColumn(c)].capped()
 	}
 	k := 0
 	for k < len(r.Sorted) && containsCol(cols, r.Sorted[k]) {
@@ -200,49 +403,31 @@ func (r *Relation) Project(cols ...string) *Relation {
 //
 // A strict input needs no work at all (two identical rows would agree
 // on the strict columns); an input sorted on every column deduplicates
-// by run detection; otherwise wide inputs fan out across CPUs
-// (parallel.go) and small ones run the sequential hash loop. All paths
-// keep the first occurrence, in input order.
+// by comparing adjacent rows; any other hashes its rows. All paths keep
+// the first occurrence, in input order.
 func (r *Relation) Dedup() *Relation {
-	out := &Relation{Cols: append([]string(nil), r.Cols...)}
-	out.Sorted, out.Strict = append([]string(nil), r.Sorted...), r.Strict
 	if r.Strict && len(r.Sorted) > 0 {
-		out.Rows = append([]Row(nil), r.Rows...)
-		return out
+		return r.shared()
 	}
-	if len(r.Sorted) > 0 && len(r.Sorted) == len(r.Cols) && colsCover(r.Cols, r.Sorted) {
-		// Sorted on every column: duplicate rows are adjacent.
-		out.Rows = make([]Row, 0, len(r.Rows))
-		for i, row := range r.Rows {
-			if i > 0 && rowsEqualBits(row, out.Rows[len(out.Rows)-1]) {
-				continue
-			}
-			out.Rows = append(out.Rows, row)
-		}
-		out.Strict = true
-		return out
-	}
-	if rows := r.dedupParallel(); rows != nil {
-		out.Rows = rows
-		return out
-	}
-	out.Rows = make([]Row, 0, len(r.Rows))
-	buckets := make(map[uint64][]int, len(r.Rows))
-	for _, row := range r.Rows {
-		h := hashRow(row)
-		dup := false
-		for _, idx := range buckets[h] {
-			if rowsEqualBits(out.Rows[idx], row) {
-				dup = true
-				break
+	n := r.Len()
+	idx := make([]int32, 0, n)
+	strict := len(r.Sorted) > 0 && len(r.Sorted) == len(r.Cols) && colsCover(r.Cols, r.Sorted)
+	if strict {
+		for i := 0; i < n; i++ {
+			if i == 0 || !keysEqual(r.Data, i, r.Data, i-1) {
+				idx = append(idx, int32(i))
 			}
 		}
-		if dup {
-			continue
+	} else {
+		t := newKeyTable(r.Data)
+		for i := 0; i < n; i++ {
+			if _, fresh := t.group(i); fresh {
+				idx = append(idx, int32(i))
+			}
 		}
-		buckets[h] = append(buckets[h], len(out.Rows))
-		out.Rows = append(out.Rows, row)
 	}
+	out := r.gather(idx)
+	out.Sorted, out.Strict = append([]string(nil), r.Sorted...), r.Strict || strict
 	return out
 }
 
@@ -266,70 +451,73 @@ func colsCover(cols, want []string) bool {
 	return true
 }
 
-// Hashing: rows and column subsets are keyed by a word-wise FNV-1a hash
-// of (kind, payload-bits) pairs instead of allocated string keys. Every
-// hash lookup verifies candidates with rowsEqualBits/colsEqualBits, so
-// collisions cost a comparison, never correctness. NumValue cells
-// compare by bit pattern, preserving the previous string-key semantics
-// (NaN equals NaN, -0 differs from +0).
-
-func valueBits(v Value) uint64 {
-	switch v.Kind {
-	case TermValue:
-		return uint64(v.ID)
-	case NumValue:
-		return math.Float64bits(v.Num)
-	default:
-		return v.Key
-	}
-}
-
-func mixValue(h uint64, v Value) uint64 {
-	return hash64.Mix(hash64.Mix(h, uint64(v.Kind)), valueBits(v))
-}
-
-// hashRow hashes every cell of the row.
-func hashRow(row Row) uint64 {
+// hashKey hashes row i's cells over the key columns.
+func hashKey(cols []Column, i int) uint64 {
 	h := uint64(hash64.Offset)
-	for _, v := range row {
-		h = mixValue(h, v)
+	for k := range cols {
+		h = hash64.Mix(h, cols[k].bits(i))
 	}
 	return h
 }
 
-// hashCols hashes the cells at the given column indexes.
-func hashCols(row Row, idx []int) uint64 {
-	h := uint64(hash64.Offset)
-	for _, c := range idx {
-		h = mixValue(h, row[c])
-	}
-	return h
-}
-
-func valueEqualBits(a, b Value) bool {
-	return a.Kind == b.Kind && valueBits(a) == valueBits(b)
-}
-
-func rowsEqualBits(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !valueEqualBits(a[i], b[i]) {
+// keysEqual compares row i of a to row j of b over aligned key columns:
+// equal kinds and equal bits in every column.
+func keysEqual(a []Column, i int, b []Column, j int) bool {
+	for k := range a {
+		if a[k].Kind != b[k].Kind || a[k].bits(i) != b[k].bits(j) {
 			return false
 		}
 	}
 	return true
 }
 
-// colsEqualBits compares a[aIdx[i]] to b[bIdx[i]] for all i.
-func colsEqualBits(a Row, aIdx []int, b Row, bIdx []int) bool {
-	for i := range aIdx {
-		if !valueEqualBits(a[aIdx[i]], b[bIdx[i]]) {
-			return false
+// keyTable numbers the distinct keys — the cells of cols — of one
+// relation's rows densely, in first-seen order. Rows are bucketed by
+// hashKey and verified with keysEqual, so a hash collision costs a
+// comparison, never correctness.
+type keyTable struct {
+	cols  []Column
+	heads map[uint64]int32 // hash -> 1 + newest group with that hash
+	next  []int32          // per group: 1 + the next group with its hash
+	rep   []int32          // per group: its first row
+}
+
+func newKeyTable(cols []Column) *keyTable {
+	return &keyTable{cols: cols, heads: map[uint64]int32{}}
+}
+
+// lookup returns the group whose key equals row i of probe (columns
+// aligned with the table's), or -1.
+func (t *keyTable) lookup(probe []Column, i int, h uint64) int32 {
+	for g := t.heads[h]; g != 0; g = t.next[g-1] {
+		if keysEqual(t.cols, int(t.rep[g-1]), probe, i) {
+			return g - 1
 		}
 	}
-	return true
+	return -1
+}
+
+// group returns the group of the table's own row i, adding a new group
+// (fresh = true) for a key not seen before.
+func (t *keyTable) group(i int) (g int32, fresh bool) {
+	h := hashKey(t.cols, i)
+	if g := t.lookup(t.cols, i, h); g >= 0 {
+		return g, false
+	}
+	g = int32(len(t.rep))
+	t.rep = append(t.rep, int32(i))
+	t.next = append(t.next, t.heads[h])
+	t.heads[h] = g + 1
+	return g, true
+}
+
+// columns returns r's columns named by cols.
+func (r *Relation) columns(cols []string) []Column {
+	out := make([]Column, len(cols))
+	for i, c := range cols {
+		out[i] = r.Data[r.MustColumn(c)]
+	}
+	return out
 }
 
 // NumericResolver supplies the numeric interpretation of a term ID, used
@@ -344,52 +532,55 @@ type NumericResolver func(id dict.ID) (float64, bool)
 // Groups whose accumulator reports no result (empty measure bag for
 // functions requiring numeric input) are dropped, matching Definition 1's
 // "if qj(I) is empty, the fact does not contribute to the cube".
-// Output group order is deterministic (first-seen order). An input
-// sorted on exactly the group columns streams: group changes are
-// detected by comparing adjacent rows, with no hash table — first-seen
-// order coincides with the sorted order, so the output is identical to
-// the hash path's. Otherwise wide inputs fan the grouping out across
-// CPUs (parallel.go) with identical output, row for row.
+// Output group order is deterministic (first-seen order), and every
+// group's measures are fed in input order. An input sorted on exactly
+// the group columns numbers its groups by comparing adjacent rows, with
+// no hash table; first-seen order then coincides with the sorted order,
+// so the output is identical to the hash path's.
 func (r *Relation) GroupAggregate(groupCols []string, valueCol, aggCol string, f agg.Func, resolve NumericResolver) *Relation {
-	gIdx := make([]int, len(groupCols))
-	for i, c := range groupCols {
-		gIdx[i] = r.MustColumn(c)
+	keys := r.columns(groupCols)
+	val := &r.Data[r.MustColumn(valueCol)]
+	n := r.Len()
+	gids := make([]int32, n)
+	var reps []int32
+	stream := r.sortedOnGroups(groupCols)
+	if stream {
+		for i := 0; i < n; i++ {
+			if i == 0 || !keysEqual(keys, i, keys, i-1) {
+				reps = append(reps, int32(i))
+			}
+			gids[i] = int32(len(reps) - 1)
+		}
+	} else {
+		t := newKeyTable(keys)
+		for i := 0; i < n; i++ {
+			gids[i], _ = t.group(i)
+		}
+		reps = t.rep
 	}
-	vIdx := r.MustColumn(valueCol)
-	if r.sortedOnGroups(groupCols) {
-		return r.groupAggregateStream(gIdx, vIdx, groupCols, aggCol, f, resolve)
+	accs := make([]agg.Accumulator, len(reps))
+	for g := range accs {
+		accs[g] = f.New()
 	}
-	if out := r.groupAggregateParallel(gIdx, vIdx, groupCols, aggCol, f, resolve); out != nil {
-		return out
-	}
+	feed(accs, gids, val, resolve)
 
-	reprIdx := make([]int, len(gIdx))
-	for i := range reprIdx {
-		reprIdx[i] = i
-	}
-	buckets := make(map[uint64][]*group)
-	var order []*group
-	for _, row := range r.Rows {
-		h := hashCols(row, gIdx)
-		var g *group
-		for _, cand := range buckets[h] {
-			if colsEqualBits(cand.repr, reprIdx, row, gIdx) {
-				g = cand
-				break
-			}
+	idx := make([]int32, 0, len(reps))
+	nums := make([]float64, 0, len(reps))
+	for g, acc := range accs {
+		if v, ok := acc.Result(); ok {
+			idx = append(idx, reps[g])
+			nums = append(nums, v)
 		}
-		if g == nil {
-			repr := make(Row, len(gIdx))
-			for i, c := range gIdx {
-				repr[i] = row[c]
-			}
-			g = &group{repr: repr, acc: f.New()}
-			buckets[h] = append(buckets[h], g)
-			order = append(order, g)
-		}
-		accumulate(g.acc, row[vIdx], resolve)
 	}
-	return finishGroups(groupCols, aggCol, order)
+	out := &Relation{Cols: append(append([]string(nil), groupCols...), aggCol), Data: make([]Column, 0, len(keys)+1)}
+	for k := range keys {
+		out.Data = append(out.Data, keys[k].gather(idx))
+	}
+	out.Data = append(out.Data, Column{Kind: NumValue, Nums: nums})
+	if stream {
+		out.Sorted, out.Strict = append([]string(nil), r.Sorted[:len(keys)]...), true
+	}
+	return out
 }
 
 // sortedOnGroups reports whether the rows are sorted on exactly the
@@ -404,215 +595,180 @@ func (r *Relation) sortedOnGroups(groupCols []string) bool {
 	return colsCover(groupCols, prefix) && colsCover(prefix, groupCols)
 }
 
-// groupAggregateStream is the run-detecting γ over group-sorted input:
-// one pass, no hash table, a group closes when the group key changes.
-func (r *Relation) groupAggregateStream(gIdx []int, vIdx int, groupCols []string, aggCol string, f agg.Func, resolve NumericResolver) *Relation {
-	reprIdx := make([]int, len(gIdx))
-	for i := range reprIdx {
-		reprIdx[i] = i
-	}
-	var order []*group
-	var cur *group
-	for _, row := range r.Rows {
-		if cur == nil || !colsEqualBits(cur.repr, reprIdx, row, gIdx) {
-			repr := make(Row, len(gIdx))
-			for i, c := range gIdx {
-				repr[i] = row[c]
+// feed folds every measure cell into its group's accumulator, in row
+// order. Term cells resolve to numbers once per distinct ID.
+func feed(accs []agg.Accumulator, gids []int32, c *Column, resolve NumericResolver) {
+	switch {
+	case c.Kind == NumValue:
+		for i, g := range gids {
+			accs[g].Add(dict.NoID, c.Nums[i], true)
+		}
+	case c.Kind == KeyValue:
+		for i, g := range gids {
+			accs[g].Add(dict.ID(c.Keys[i]), float64(c.Keys[i]), true)
+		}
+	case resolve == nil:
+		for i, g := range gids {
+			accs[g].Add(c.IDs[i], 0, false)
+		}
+	default:
+		type number struct {
+			v  float64
+			ok bool
+		}
+		cache := make(map[dict.ID]number)
+		for i, g := range gids {
+			id := c.IDs[i]
+			x, hit := cache[id]
+			if !hit {
+				x.v, x.ok = resolve(id)
+				cache[id] = x
 			}
-			cur = &group{repr: repr, acc: f.New()}
-			order = append(order, cur)
+			accs[g].Add(id, x.v, x.ok)
 		}
-		accumulate(cur.acc, row[vIdx], resolve)
-	}
-	out := finishGroups(groupCols, aggCol, order)
-	out.Sorted = append([]string(nil), r.Sorted[:len(gIdx)]...)
-	out.Strict = true
-	return out
-}
-
-// group is one in-progress aggregation group; first records the index
-// of its first input row (the deterministic output order).
-type group struct {
-	repr  Row
-	acc   agg.Accumulator
-	first int
-}
-
-// accumulate feeds one measure cell into an accumulator — the single
-// place the cell-kind dispatch lives, shared by the sequential and
-// parallel grouping paths.
-func accumulate(acc agg.Accumulator, v Value, resolve NumericResolver) {
-	switch v.Kind {
-	case TermValue:
-		if resolve != nil {
-			num, ok := resolve(v.ID)
-			acc.Add(v.ID, num, ok)
-		} else {
-			acc.Add(v.ID, 0, false)
-		}
-	case NumValue:
-		acc.Add(dict.NoID, v.Num, true)
-	case KeyValue:
-		acc.Add(dict.ID(v.Key), float64(v.Key), true)
 	}
 }
 
-// finishGroups renders the accumulated groups, dropping empty results.
-func finishGroups(groupCols []string, aggCol string, order []*group) *Relation {
-	out := NewRelation(append(append([]string(nil), groupCols...), aggCol)...)
-	out.Rows = make([]Row, 0, len(order))
-	for _, g := range order {
-		v, ok := g.acc.Result()
-		if !ok {
-			continue
-		}
-		out.Rows = append(out.Rows, append(append(make(Row, 0, len(g.repr)+1), g.repr...), NumV(v)))
-	}
-	return out
-}
-
-// Join returns r ⋈ other on leftCols = rightCols (hash join, bag
-// semantics). Output columns are r's columns followed by other's columns
-// minus the join columns. Column name collisions outside the join columns
-// are an error.
+// Join returns r ⋈ other on leftCols = rightCols (bag semantics).
+// Output columns are r's columns followed by other's columns minus the
+// join columns; column name collisions outside the join columns are an
+// error.
+//
+// Rows come out in r's row order, each left row followed by its
+// matches in other's row order, so r's sort property carries over.
+// When both sides are sorted on a single term key the join merges them;
+// otherwise it hashes other's keys, groups other's rows into one run
+// per key, and probes r's rows against the runs. Both paths emit the
+// same rows in the same order.
 func (r *Relation) Join(other *Relation, leftCols, rightCols []string) (*Relation, error) {
 	if len(leftCols) != len(rightCols) {
 		return nil, fmt.Errorf("algebra: join column arity mismatch %d vs %d", len(leftCols), len(rightCols))
 	}
-	lIdx := make([]int, len(leftCols))
-	for i, c := range leftCols {
-		j := r.Column(c)
-		if j < 0 {
+	for _, c := range leftCols {
+		if r.Column(c) < 0 {
 			return nil, fmt.Errorf("algebra: join column %q missing on left", c)
 		}
-		lIdx[i] = j
 	}
-	rIdx := make([]int, len(rightCols))
-	rightJoinCol := make(map[int]bool)
-	for i, c := range rightCols {
-		j := other.Column(c)
-		if j < 0 {
+	for _, c := range rightCols {
+		if other.Column(c) < 0 {
 			return nil, fmt.Errorf("algebra: join column %q missing on right", c)
 		}
-		rIdx[i] = j
-		rightJoinCol[j] = true
 	}
-	// Output schema.
 	outCols := append([]string(nil), r.Cols...)
-	leftNames := map[string]bool{}
-	for _, c := range r.Cols {
-		leftNames[c] = true
-	}
 	var keepRight []int
 	for j, c := range other.Cols {
-		if rightJoinCol[j] {
+		if containsCol(rightCols, c) {
 			continue
 		}
-		if leftNames[c] {
+		if containsCol(r.Cols, c) {
 			return nil, fmt.Errorf("algebra: duplicate non-join column %q", c)
 		}
 		outCols = append(outCols, c)
 		keepRight = append(keepRight, j)
 	}
-	// Build on the right side, bucketed by join-column hash; probes
-	// verify the actual join columns, so hash collisions only cost a
-	// comparison. Wide probe sides fan out across CPUs (parallel.go)
-	// with identical output, row for row.
-	build := make(map[uint64][]Row, len(other.Rows))
-	for _, row := range other.Rows {
-		h := hashCols(row, rIdx)
-		build[h] = append(build[h], row)
+	lk, rk := r.columns(leftCols), other.columns(rightCols)
+	var li, ri []int32
+	if len(lk) == 1 && lk[0].Kind == TermValue && rk[0].Kind == TermValue &&
+		len(r.Sorted) > 0 && r.Sorted[0] == leftCols[0] && len(other.Sorted) > 0 && other.Sorted[0] == rightCols[0] {
+		li, ri = mergeJoin(lk[0].IDs, rk[0].IDs)
+	} else {
+		li, ri = hashJoin(lk, rk, r.Len(), other.Len())
 	}
-	out := &Relation{Cols: outCols}
-	if rows := probeParallel(r.Rows, lIdx, rIdx, build, keepRight, len(outCols)); rows != nil {
-		out.Rows = rows
-		return out, nil
+	out := &Relation{Cols: outCols, Data: make([]Column, 0, len(outCols))}
+	for j := range r.Data {
+		out.Data = append(out.Data, r.Data[j].gather(li))
 	}
-	for _, lrow := range r.Rows {
-		h := hashCols(lrow, lIdx)
-		for _, rrow := range build[h] {
-			if !colsEqualBits(lrow, lIdx, rrow, rIdx) {
-				continue
-			}
-			nr := make(Row, 0, len(outCols))
-			nr = append(nr, lrow...)
-			for _, j := range keepRight {
-				nr = append(nr, rrow[j])
-			}
-			out.Rows = append(out.Rows, nr)
-		}
+	for _, j := range keepRight {
+		out.Data = append(out.Data, other.Data[j].gather(ri))
 	}
+	out.Sorted = append([]string(nil), r.Sorted...)
 	return out, nil
 }
 
-// NaturalJoin joins on all shared column names.
-func (r *Relation) NaturalJoin(other *Relation) (*Relation, error) {
-	var shared []string
-	for _, c := range r.Cols {
-		if other.Column(c) >= 0 {
-			shared = append(shared, c)
+// mergeJoin matches two ascending ID columns, returning the matched
+// (left, right) row pairs in left order, right order within a left row.
+func mergeJoin(l, r []dict.ID) (li, ri []int32) {
+	for i, j := 0, 0; i < len(l) && j < len(r); {
+		switch a := l[i]; {
+		case a < r[j]:
+			i++
+		case a > r[j]:
+			j++
+		default:
+			end := j
+			for end < len(r) && r[end] == a {
+				end++
+			}
+			for ; i < len(l) && l[i] == a; i++ {
+				for k := j; k < end; k++ {
+					li, ri = append(li, int32(i)), append(ri, int32(k))
+				}
+			}
+			j = end
 		}
 	}
-	if len(shared) == 0 {
-		return nil, fmt.Errorf("algebra: natural join with no shared columns (%v vs %v)", r.Cols, other.Cols)
-	}
-	return r.Join(other, shared, shared)
+	return li, ri
 }
 
-// Sort orders rows lexicographically in place (Kind, then payload) for
-// deterministic output.
+// hashJoin numbers the right keys, lays the right rows out in one run
+// per key (a stable counting sort, so each run keeps right order), then
+// probes every left row against the runs.
+func hashJoin(lk, rk []Column, nl, nr int) (li, ri []int32) {
+	t := newKeyTable(rk)
+	gids := make([]int32, nr)
+	for j := range gids {
+		gids[j], _ = t.group(j)
+	}
+	start := make([]int32, len(t.rep)+1)
+	for _, g := range gids {
+		start[g+1]++
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	runs := make([]int32, nr)
+	fill := append([]int32(nil), start[:len(t.rep)]...)
+	for j, g := range gids {
+		runs[fill[g]] = int32(j)
+		fill[g]++
+	}
+	for i := 0; i < nl; i++ {
+		g := t.lookup(lk, i, hashKey(lk, i))
+		if g < 0 {
+			continue
+		}
+		for _, j := range runs[start[g]:start[g+1]] {
+			li, ri = append(li, int32(i)), append(ri, j)
+		}
+	}
+	return li, ri
+}
+
+// Sort orders the rows lexicographically (column by column) for
+// deterministic output. It replaces r's columns with sorted copies, so
+// relations sharing the old columns are unaffected, and clears the
+// sort property.
 func (r *Relation) Sort() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		return compareRows(r.Rows[i], r.Rows[j]) < 0
+	perm := make([]int32, r.Len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.Slice(perm, func(a, b int) bool {
+		for k := range r.Data {
+			if c := r.Data[k].compare(int(perm[a]), int(perm[b])); c != 0 {
+				return c < 0
+			}
+		}
+		return false
 	})
-}
-
-func compareRows(a, b Row) int {
-	for k := range a {
-		if c := compareValues(a[k], b[k]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-func compareValues(a, b Value) int {
-	if a.Kind != b.Kind {
-		if a.Kind < b.Kind {
-			return -1
-		}
-		return 1
-	}
-	switch a.Kind {
-	case TermValue:
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-	case NumValue:
-		switch {
-		case a.Num < b.Num:
-			return -1
-		case a.Num > b.Num:
-			return 1
-		}
-	case KeyValue:
-		switch {
-		case a.Key < b.Key:
-			return -1
-		case a.Key > b.Key:
-			return 1
-		}
-	}
-	return 0
+	r.Data = r.gather(perm).Data
+	r.Sorted, r.Strict = nil, false
 }
 
 // Equal reports whether two relations have identical schema and identical
 // bags of rows (order-insensitive).
 func Equal(a, b *Relation) bool {
-	if len(a.Cols) != len(b.Cols) || len(a.Rows) != len(b.Rows) {
+	if len(a.Cols) != len(b.Cols) || a.Len() != b.Len() {
 		return false
 	}
 	for i := range a.Cols {
@@ -620,29 +776,24 @@ func Equal(a, b *Relation) bool {
 			return false
 		}
 	}
-	// Multiset comparison: bucket a's rows by hash, then tick off each
-	// of b's rows against a verified match (swap-delete). Row counts are
-	// equal, so full drainage follows from every b row matching.
-	buckets := make(map[uint64][]Row, len(a.Rows))
-	for _, row := range a.Rows {
-		h := hashRow(row)
-		buckets[h] = append(buckets[h], row)
-	}
-	for _, row := range b.Rows {
-		h := hashRow(row)
-		cands := buckets[h]
-		found := -1
-		for i, cand := range cands {
-			if rowsEqualBits(cand, row) {
-				found = i
-				break
-			}
+	// Multiset comparison: count a's rows per distinct row, then tick
+	// off each of b's rows. Row counts are equal, so full drainage
+	// follows from every b row matching.
+	t := newKeyTable(a.Data)
+	var count []int
+	for i := 0; i < a.Len(); i++ {
+		g, fresh := t.group(i)
+		if fresh {
+			count = append(count, 0)
 		}
-		if found < 0 {
+		count[g]++
+	}
+	for j := 0; j < b.Len(); j++ {
+		g := t.lookup(b.Data, j, hashKey(b.Data, j))
+		if g < 0 || count[g] == 0 {
 			return false
 		}
-		cands[found] = cands[len(cands)-1]
-		buckets[h] = cands[:len(cands)-1]
+		count[g]--
 	}
 	return true
 }

@@ -1,8 +1,8 @@
 package algebra
 
 // Ordering-aware fast paths (δ and γ over relations carrying a sort
-// property) and the parallel δ/⋈ fan-outs: every path must be
-// byte-identical — rows AND order — to the sequential hash reference.
+// property): every path must be byte-identical — rows AND order — to
+// the hash reference.
 
 import (
 	"math/rand"
@@ -30,6 +30,25 @@ func sortedDupRelation(rng *rand.Rand, groups, maxRun int) *Relation {
 	return r
 }
 
+// relIdentical compares schema, then every cell's kind and bits, in
+// row order.
+func relIdentical(a, b *Relation) bool {
+	if len(a.Cols) != len(b.Cols) || a.Len() != b.Len() {
+		return false
+	}
+	for j := range a.Cols {
+		if a.Cols[j] != b.Cols[j] || a.Data[j].Kind != b.Data[j].Kind {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if a.Data[j].bits(i) != b.Data[j].bits(i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // hashReference re-runs the operation with the sort property stripped,
 // forcing the hash path on the same rows.
 func stripSorted(r *Relation) *Relation {
@@ -48,7 +67,7 @@ func TestDedupSortedRunMatchesHash(t *testing.T) {
 			t.Fatal("full-column run dedup must yield a strict relation")
 		}
 		want := stripSorted(r).Dedup()
-		if !relIdentical(&Relation{Cols: run.Cols, Rows: run.Rows}, &Relation{Cols: want.Cols, Rows: want.Rows}) {
+		if !relIdentical(run, want) {
 			t.Fatalf("trial %d: run dedup diverged from hash dedup (%d vs %d rows)", trial, run.Len(), want.Len())
 		}
 	}
@@ -65,7 +84,7 @@ func TestDedupStrictFastPath(t *testing.T) {
 		t.Fatalf("strict relation lost rows in Dedup: %d vs %d", got.Len(), r.Len())
 	}
 	want := stripSorted(r).Dedup()
-	if !relIdentical(&Relation{Cols: got.Cols, Rows: got.Rows}, &Relation{Cols: want.Cols, Rows: want.Rows}) {
+	if !relIdentical(got, want) {
 		t.Fatal("strict fast path diverged from hash dedup")
 	}
 }
@@ -96,81 +115,14 @@ func TestGroupAggregateStreamMatchesHash(t *testing.T) {
 				name, stream.Sorted, stream.Strict)
 		}
 		want := stripSorted(r).GroupAggregate([]string{"d0", "d1"}, "m", "v", f, nil)
-		if !relIdentical(&Relation{Cols: stream.Cols, Rows: stream.Rows}, &Relation{Cols: want.Cols, Rows: want.Rows}) {
+		if !relIdentical(stream, want) {
 			t.Fatalf("agg=%s: streamed γ diverged from hash γ (%d vs %d groups)", name, stream.Len(), want.Len())
 		}
 		// Group columns in permuted order still qualify (set equality).
 		perm := r.GroupAggregate([]string{"d1", "d0"}, "m", "v", f, nil)
 		wantPerm := stripSorted(r).GroupAggregate([]string{"d1", "d0"}, "m", "v", f, nil)
-		if !relIdentical(&Relation{Cols: perm.Cols, Rows: perm.Rows}, &Relation{Cols: wantPerm.Cols, Rows: wantPerm.Rows}) {
+		if !relIdentical(perm, wantPerm) {
 			t.Fatalf("agg=%s: permuted streamed γ diverged", name)
-		}
-	}
-}
-
-func TestDedupParallelMatchesSequential(t *testing.T) {
-	defer func() { GroupWorkers = 0 }()
-	rng := rand.New(rand.NewSource(21))
-	for _, tc := range []struct{ rows, domain int }{
-		{100, 5},     // tiny, heavy duplication
-		{5000, 20},   // forced-parallel midsize
-		{40000, 500}, // exceeds the auto threshold
-	} {
-		r := NewRelation("a", "b", "c")
-		for i := 0; i < tc.rows; i++ {
-			r.Append(Row{
-				TermV(dict.ID(1 + rng.Intn(tc.domain))),
-				TermV(dict.ID(1 + rng.Intn(tc.domain))),
-				NumV(float64(rng.Intn(3))),
-			})
-		}
-		GroupWorkers = 1
-		seq := r.Dedup()
-		GroupWorkers = 4
-		par := r.Dedup()
-		if !relIdentical(seq, par) {
-			t.Fatalf("rows=%d: parallel dedup diverged (%d vs %d rows)", tc.rows, seq.Len(), par.Len())
-		}
-		GroupWorkers = 0
-		auto := r.Dedup()
-		if !relIdentical(seq, auto) {
-			t.Fatalf("rows=%d: auto-parallel dedup diverged", tc.rows)
-		}
-	}
-}
-
-func TestJoinParallelMatchesSequential(t *testing.T) {
-	defer func() { GroupWorkers = 0 }()
-	rng := rand.New(rand.NewSource(34))
-	for _, rows := range []int{200, 5000, 40000} {
-		left := NewRelation("a", "k")
-		right := NewRelation("k", "b")
-		for i := 0; i < rows; i++ {
-			left.Append(Row{TermV(dict.ID(1 + rng.Intn(50))), TermV(dict.ID(1 + rng.Intn(64)))})
-		}
-		for i := 0; i < 300; i++ {
-			right.Append(Row{TermV(dict.ID(1 + rng.Intn(64))), TermV(dict.ID(1 + rng.Intn(50)))})
-		}
-		GroupWorkers = 1
-		seq, err := left.Join(right, []string{"k"}, []string{"k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		GroupWorkers = 4
-		par, err := left.Join(right, []string{"k"}, []string{"k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relIdentical(seq, par) {
-			t.Fatalf("rows=%d: parallel join diverged (%d vs %d rows)", rows, seq.Len(), par.Len())
-		}
-		GroupWorkers = 0
-		auto, err := left.Join(right, []string{"k"}, []string{"k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relIdentical(seq, auto) {
-			t.Fatalf("rows=%d: auto-parallel join diverged", rows)
 		}
 	}
 }

@@ -396,22 +396,11 @@ func RunE6NaiveError(w io.Writer, bloggers int, multiValue []float64) ([]Row, er
 // returns the number of differing cells, the total, and the mean
 // relative deviation of the naive value from the correct one.
 func cellErrors(correct, naive *algebra.Relation) (wrong, total int, meanRelErr float64) {
-	key := func(row algebra.Row) string {
-		k := ""
-		for _, v := range row[:len(row)-1] {
-			k += fmt.Sprintf("%d|", v.ID)
-		}
-		return k
-	}
-	naiveVals := map[string]float64{}
-	for _, row := range naive.Rows {
-		naiveVals[key(row)] = row[len(row)-1].Num
-	}
+	naiveVals := cubeValues(naive)
 	var sumRel float64
-	for _, row := range correct.Rows {
+	for k, want := range cubeValues(correct) {
 		total++
-		want := row[len(row)-1].Num
-		nv, ok := naiveVals[key(row)]
+		nv, ok := naiveVals[k]
 		if !ok || math.Abs(nv-want) > 1e-9 {
 			wrong++
 		}
@@ -520,28 +509,29 @@ func cubesEqualApprox(a, b *algebra.Relation) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	key := func(row algebra.Row) string {
-		k := ""
-		for _, v := range row[:len(row)-1] {
-			k += fmt.Sprintf("%d|", v.ID)
-		}
-		return k
-	}
-	vals := map[string]float64{}
-	for _, row := range a.Rows {
-		vals[key(row)] = row[len(row)-1].Num
-	}
-	for _, row := range b.Rows {
-		want, ok := vals[key(row)]
-		if !ok {
-			return false
-		}
-		got := row[len(row)-1].Num
-		if math.Abs(want-got) > 1e-6*math.Max(1, math.Abs(want)) {
+	vals := cubeValues(a)
+	for k, got := range cubeValues(b) {
+		want, ok := vals[k]
+		if !ok || math.Abs(want-got) > 1e-6*math.Max(1, math.Abs(want)) {
 			return false
 		}
 	}
 	return true
+}
+
+// cubeValues maps each cell of a cube (dims..., v) to its value, keyed
+// on the dimension IDs.
+func cubeValues(cube *algebra.Relation) map[string]float64 {
+	last := len(cube.Cols) - 1
+	vals := make(map[string]float64, cube.Len())
+	for i := 0; i < cube.Len(); i++ {
+		k := ""
+		for j := 0; j < last; j++ {
+			k += fmt.Sprintf("%d|", cube.Cell(i, j).ID)
+		}
+		vals[k] = cube.Cell(i, last).Num
+	}
+	return vals
 }
 
 // WriteMixes is the default E9 write-fraction sweep: 10% and 50% of the

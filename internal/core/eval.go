@@ -54,27 +54,35 @@ func (e *Evaluator) resolveNumeric(id dict.ID) (float64, bool) {
 	return t.AsFloat()
 }
 
-// sigmaFilter compiles Σ into a row predicate over a relation whose
-// dimension columns hold term IDs. Values absent from the dictionary can
-// never match, so they are dropped at compile time.
-func (e *Evaluator) sigmaFilter(rel *algebra.Relation, dims []string, sigma Sigma) (func(algebra.Row) bool, error) {
-	if len(sigma) == 0 {
-		return func(algebra.Row) bool { return true }, nil
-	}
-	d := e.inst.Dict()
-	type colSet struct {
-		col     int
-		allowed map[dict.ID]struct{}
-	}
-	var sets []colSet
+// SigmaFilter is Σ compiled against a column layout: one SigmaColumn
+// per restricted dimension.
+type SigmaFilter []SigmaColumn
+
+// SigmaColumn is one restricted dimension's column index and the term
+// IDs Σ allows in it.
+type SigmaColumn struct {
+	Col     int
+	Allowed map[dict.ID]struct{}
+}
+
+// CompileSigma compiles the Σ restrictions of dims against cols. Values
+// absent from the dictionary can never match, so they are dropped at
+// compile time.
+func CompileSigma(d *dict.Dictionary, cols, dims []string, sigma Sigma) (SigmaFilter, error) {
+	var f SigmaFilter
 	for _, dim := range dims {
 		vals, ok := sigma[dim]
 		if !ok {
 			continue
 		}
-		col := rel.Column(dim)
+		col := -1
+		for i, c := range cols {
+			if c == dim {
+				col = i
+			}
+		}
 		if col < 0 {
-			return nil, fmt.Errorf("core: Σ dimension %q not in relation %v", dim, rel.Cols)
+			return nil, fmt.Errorf("core: Σ dimension %q not in relation %v", dim, cols)
 		}
 		allowed := make(map[dict.ID]struct{}, len(vals))
 		for _, t := range vals {
@@ -82,16 +90,31 @@ func (e *Evaluator) sigmaFilter(rel *algebra.Relation, dims []string, sigma Sigm
 				allowed[id] = struct{}{}
 			}
 		}
-		sets = append(sets, colSet{col: col, allowed: allowed})
+		f = append(f, SigmaColumn{Col: col, Allowed: allowed})
 	}
-	return func(row algebra.Row) bool {
-		for _, s := range sets {
-			if _, ok := s.allowed[row[s.col].ID]; !ok {
+	return f, nil
+}
+
+// Row reports whether a row of term IDs passes the filter.
+func (f SigmaFilter) Row(row []dict.ID) bool {
+	for _, s := range f {
+		if _, ok := s.Allowed[row[s.Col]]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// Select returns σ_Σ(rel), testing rel's term ID columns.
+func (f SigmaFilter) Select(rel *algebra.Relation) *algebra.Relation {
+	return rel.Select(func(i int) bool {
+		for _, s := range f {
+			if _, ok := s.Allowed[rel.Data[s.Col].IDs[i]]; !ok {
 				return false
 			}
 		}
 		return true
-	}, nil
+	})
 }
 
 // EvalClassifier evaluates the (extended) classifier c_Σ with set
@@ -101,12 +124,11 @@ func (e *Evaluator) EvalClassifier(q *Query) (*algebra.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel := resultToRelation(res)
-	pred, err := e.sigmaFilter(rel, q.Dims(), q.Sigma)
+	f, err := CompileSigma(e.inst.Dict(), res.Vars, q.Dims(), q.Sigma)
 	if err != nil {
 		return nil, err
 	}
-	return rel.Select(pred), nil
+	return fromResult(res, f.Row), nil
 }
 
 // EvalMeasureKeyed evaluates the measure m with bag semantics and attaches
@@ -117,18 +139,18 @@ func (e *Evaluator) EvalMeasureKeyed(q *Query) (*algebra.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, v := q.Measure.Head[0], q.Measure.Head[1]
-	out := algebra.NewRelation(KeyCol, root, v)
-	// newk(): successive integers, one per measure tuple. Rows are carved
-	// from one flat cell block to keep the allocation count constant.
-	out.Rows = make([]algebra.Row, len(res.Rows))
-	cells := make([]algebra.Value, 3*len(res.Rows))
-	for i, row := range res.Rows {
-		r := cells[3*i : 3*i+3 : 3*i+3]
-		r[0] = algebra.KeyV(uint64(i + 1))
-		r[1] = algebra.TermV(row[0])
-		r[2] = algebra.TermV(row[1])
-		out.Rows[i] = r
+	// newk(): successive integers, one per measure tuple. The keys
+	// ascend in row order, so the engine's sort property still holds.
+	m := fromResult(res, nil)
+	keys := make([]uint64, len(res.Rows))
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	out := &algebra.Relation{
+		Cols:   append([]string{KeyCol}, m.Cols...),
+		Data:   append([]algebra.Column{{Kind: algebra.KeyValue, Keys: keys}}, m.Data...),
+		Sorted: m.Sorted,
+		Strict: m.Strict,
 	}
 	return out, nil
 }
@@ -153,7 +175,7 @@ func (e *Evaluator) Pres(q *Query) (*algebra.Relation, error) {
 	cols := append([]string{root}, q.Dims()...)
 	cols = append(cols, KeyCol, q.MeasureVar())
 	out := joined.Project(cols...)
-	obs.CostFromContext(e.context()).AddBytes(out.EstimateBytes())
+	obs.CostFromContext(e.context()).AddBytes(out.Bytes())
 	return out, nil
 }
 
@@ -180,7 +202,7 @@ func (e *Evaluator) AnswerFromPres(q *Query, pres *algebra.Relation) (*algebra.R
 	// measure values as duplicate rows, exactly what γ must see.
 	proj := pres.Project(append([]string{q.Root()}, append(q.Dims(), v)...)...)
 	cube := proj.GroupAggregate(q.Dims(), v, v, q.Agg, e.resolveNumeric)
-	obs.CostFromContext(e.context()).AddBytes(cube.EstimateBytes())
+	obs.CostFromContext(e.context()).AddBytes(cube.Bytes())
 	return cube, nil
 }
 
@@ -218,8 +240,7 @@ func (e *Evaluator) Intermediary(q *Query) (*algebra.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	mrel := resultToRelation(res)
-	return c.Join(mrel, []string{root}, []string{root})
+	return c.Join(fromResult(res, nil), []string{root}, []string{root})
 }
 
 // checkPresSchema verifies that rel has the canonical pres(Q) layout.
@@ -237,22 +258,12 @@ func checkPresSchema(q *Query, rel *algebra.Relation) error {
 	return nil
 }
 
-// resultToRelation converts a BGP result into a TermValue relation.
-// Rows are carved from one flat cell block: two allocations total
-// instead of one per row. The engine's sort property carries over, so
-// downstream δ and γ can run-detect instead of hashing.
-func resultToRelation(res *bgp.Result) *algebra.Relation {
-	rel := algebra.NewRelation(res.Vars...)
-	rel.Rows = make([]algebra.Row, len(res.Rows))
-	w := len(res.Vars)
-	cells := make([]algebra.Value, w*len(res.Rows))
-	for i, row := range res.Rows {
-		r := cells[w*i : w*i+w : w*i+w]
-		for j, id := range row {
-			r[j] = algebra.TermV(id)
-		}
-		rel.Rows[i] = r
-	}
+// fromResult transposes the rows of a BGP result that keep accepts
+// (all when keep is nil) into term columns. A row filter keeps row
+// order, so the engine's sort property carries over and downstream ⋈,
+// δ and γ can merge and run-detect instead of hashing.
+func fromResult(res *bgp.Result, keep func([]dict.ID) bool) *algebra.Relation {
+	rel := algebra.FromIDRows(res.Vars, res.Rows, keep)
 	rel.Sorted = append([]string(nil), res.Sorted...)
 	rel.Strict = res.Strict
 	return rel
@@ -285,5 +296,5 @@ func (e *Evaluator) evalAux(q *sparql.Query) (*algebra.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resultToRelation(res), nil
+	return fromResult(res, nil), nil
 }

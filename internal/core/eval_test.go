@@ -63,7 +63,7 @@ func TestMeasureKeysUniqueAcrossBag(t *testing.T) {
 	}
 	kCol := mk.MustColumn(KeyCol)
 	seen := map[uint64]bool{}
-	for _, row := range mk.Rows {
+	for _, row := range mk.Rows() {
 		k := row[kCol].Key
 		if seen[k] {
 			t.Fatalf("duplicate measure key %d", k)
@@ -92,7 +92,7 @@ func TestPresKeySharedAcrossClassifierRows(t *testing.T) {
 		t.Fatalf("pres rows = %d, want 2", pres.Len())
 	}
 	kCol := pres.MustColumn(KeyCol)
-	if pres.Rows[0][kCol] != pres.Rows[1][kCol] {
+	if pres.Rows()[0][kCol] != pres.Rows()[1][kCol] {
 		t.Fatal("the same measure tuple must carry the same key in every classifier row")
 	}
 }
@@ -131,7 +131,7 @@ func TestIntermediaryVariableCollision(t *testing.T) {
 		t.Fatalf("measure variable column missing: %v", intQ.Cols)
 	}
 	mid2, _ := st.Dict().Lookup(iri("mid2"))
-	if intQ.Rows[0][col].ID != mid2 {
+	if intQ.Rows()[0][col].ID != mid2 {
 		t.Fatal("measure variable bound the wrong entity")
 	}
 }

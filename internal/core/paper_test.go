@@ -152,7 +152,7 @@ func TestPaperExample2MeasureBags(t *testing.T) {
 	// Keys must be unique 1..5.
 	seen := map[uint64]bool{}
 	kCol := mk.MustColumn(KeyCol)
-	for _, row := range mk.Rows {
+	for _, row := range mk.Rows() {
 		k := row[kCol].Key
 		if k < 1 || k > 5 || seen[k] {
 			t.Fatalf("bad key %d", k)
@@ -163,7 +163,7 @@ func TestPaperExample2MeasureBags(t *testing.T) {
 	rootCol := mk.MustColumn("x")
 	u1, _ := st.Dict().Lookup(iri("user1"))
 	n := 0
-	for _, row := range mk.Rows {
+	for _, row := range mk.Rows() {
 		if row[rootCol].ID == u1 {
 			n++
 		}
@@ -249,7 +249,7 @@ func TestPaperExample4(t *testing.T) {
 		{Dims: []string{"28", exNS + "Madrid"}, Value: 210},
 	})
 	if !algebra.Equal(direct, rewritten) {
-		t.Fatalf("Proposition 1 violated: direct %v != rewrite %v", direct.Rows, rewritten.Rows)
+		t.Fatalf("Proposition 1 violated: direct %v != rewrite %v", direct.Rows(), rewritten.Rows())
 	}
 }
 
@@ -312,7 +312,7 @@ func TestPaperExample5(t *testing.T) {
 		t.Fatalf("Answer(drill-out): %v", err)
 	}
 	if !algebra.Equal(direct, alg1) {
-		t.Fatalf("Proposition 2 violated: direct %v != Algorithm 1 %v", direct.Rows, alg1.Rows)
+		t.Fatalf("Proposition 2 violated: direct %v != Algorithm 1 %v", direct.Rows(), alg1.Rows())
 	}
 
 	// The naive rewrite double-counts m1: ⊕{m1, m1, m2} = 7+7+11 = 25.
@@ -403,7 +403,7 @@ func TestPaperExample6(t *testing.T) {
 		t.Fatalf("pres size = %d, want 2", pres.Len())
 	}
 	kCol := pres.MustColumn(KeyCol)
-	if pres.Rows[0][kCol] != pres.Rows[1][kCol] {
+	if pres.Rows()[0][kCol] != pres.Rows()[1][kCol] {
 		t.Fatalf("pres keys differ across classifier rows of the same measure tuple")
 	}
 
@@ -426,7 +426,7 @@ func TestPaperExample6(t *testing.T) {
 		t.Fatalf("Answer(drill-in): %v", err)
 	}
 	if !algebra.Equal(direct, rewritten) {
-		t.Fatalf("Proposition 3 violated: direct %v != Algorithm 2 %v", direct.Rows, rewritten.Rows)
+		t.Fatalf("Proposition 3 violated: direct %v != Algorithm 2 %v", direct.Rows(), rewritten.Rows())
 	}
 }
 
@@ -457,7 +457,7 @@ func TestPaperExample3Slice(t *testing.T) {
 		{Dims: []string{"35", exNS + "NY"}, Value: 2},
 	})
 	if !algebra.Equal(direct, rewritten) {
-		t.Fatalf("slice rewrite mismatch: %v vs %v", direct.Rows, rewritten.Rows)
+		t.Fatalf("slice rewrite mismatch: %v vs %v", direct.Rows(), rewritten.Rows())
 	}
 }
 

@@ -78,10 +78,10 @@ func cubesApproxEqual(a, b *algebra.Relation) bool {
 		return k
 	}
 	vals := map[string]float64{}
-	for _, row := range a.Rows {
+	for _, row := range a.Rows() {
 		vals[key(row)] = row[len(row)-1].Num
 	}
-	for _, row := range b.Rows {
+	for _, row := range b.Rows() {
 		want, ok := vals[key(row)]
 		if !ok {
 			return false
@@ -140,7 +140,7 @@ func TestProposition1Random(t *testing.T) {
 		}
 		if !algebra.Equal(direct, rewritten) {
 			t.Fatalf("trial %d: Proposition 1 violated\n direct: %v\n rewrite: %v",
-				trial, direct.Rows, rewritten.Rows)
+				trial, direct.Rows(), rewritten.Rows())
 		}
 	}
 }
@@ -185,7 +185,7 @@ func TestProposition2Random(t *testing.T) {
 		rewritten = rewritten.Project(direct.Cols...)
 		if !cubesApproxEqual(direct, rewritten) {
 			t.Fatalf("trial %d (%s, drop %v): Proposition 2 violated\n direct: %v %v\n rewrite: %v %v",
-				trial, f.Name(), drop, direct.Cols, direct.Rows, rewritten.Cols, rewritten.Rows)
+				trial, f.Name(), drop, direct.Cols, direct.Rows(), rewritten.Cols, rewritten.Rows())
 		}
 	}
 }
@@ -244,7 +244,7 @@ func TestProposition3Random(t *testing.T) {
 		}
 		if !cubesApproxEqual(direct, rewritten) {
 			t.Fatalf("trial %d: Proposition 3 violated\n direct: %v\n rewrite: %v",
-				trial, direct.Rows, rewritten.Rows)
+				trial, direct.Rows(), rewritten.Rows())
 		}
 	}
 }
@@ -274,7 +274,7 @@ func TestEquation1Random(t *testing.T) {
 		fromInt.Sort()
 		if !algebra.Equal(fromPres, fromInt) {
 			t.Fatalf("trial %d: Equation (1) violated\n pres: %v\n int: %v",
-				trial, fromPres.Rows, fromInt.Rows)
+				trial, fromPres.Rows(), fromInt.Rows())
 		}
 	}
 }

@@ -27,11 +27,11 @@ func (e *Evaluator) DiceRewrite(diced *Query, ansQ *algebra.Relation) (*algebra.
 			return nil, fmt.Errorf("core: ans schema %v does not match dimensions %v", ansQ.Cols, dims)
 		}
 	}
-	pred, err := e.sigmaFilter(ansQ, dims, diced.Sigma)
+	f, err := CompileSigma(e.inst.Dict(), ansQ.Cols, dims, diced.Sigma)
 	if err != nil {
 		return nil, err
 	}
-	return ansQ.Select(pred), nil
+	return f.Select(ansQ), nil
 }
 
 // DrillOutRewrite answers Q_DRILL-OUT from pres(Q) — Algorithm 1
@@ -149,17 +149,19 @@ type CubeCell struct {
 // DecodeCube renders a cube relation (dims..., v) with IDs resolved
 // through d into human-readable cells, in the relation's row order.
 func DecodeCube(rel *algebra.Relation, d *dict.Dictionary) []CubeCell {
-	cells := make([]CubeCell, 0, len(rel.Rows))
-	for _, row := range rel.Rows {
+	last := len(rel.Cols) - 1
+	cells := make([]CubeCell, 0, rel.Len())
+	for i := 0; i < rel.Len(); i++ {
 		cell := CubeCell{}
-		for _, val := range row[:len(row)-1] {
+		for j := 0; j < last; j++ {
+			val := rel.Cell(i, j)
 			if t, ok := d.Decode(val.ID); ok {
 				cell.Dims = append(cell.Dims, t.Value())
 			} else {
 				cell.Dims = append(cell.Dims, val.String())
 			}
 		}
-		cell.Value = row[len(row)-1].Num
+		cell.Value = rel.Cell(i, last).Num
 		cells = append(cells, cell)
 	}
 	return cells

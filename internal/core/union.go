@@ -22,7 +22,6 @@ import (
 func (e *Evaluator) EvalClassifierUnion(q *Query) (*algebra.Relation, error) {
 	dims := q.Dims()
 	cols := append([]string{q.Root()}, dims...)
-	out := algebra.NewRelation(cols...)
 
 	// Unrestricted: a single evaluation.
 	if len(q.Sigma) == 0 {
@@ -39,6 +38,7 @@ func (e *Evaluator) EvalClassifierUnion(q *Query) (*algebra.Relation, error) {
 	combos := cartesian(q.Sigma, restricted)
 	d := e.inst.Dict()
 	seen := map[string]struct{}{}
+	var rows [][]dict.ID
 	for _, combo := range combos {
 		// Substitute each restricted dimension with its chosen value.
 		sub := q.Classifier.Clone()
@@ -66,37 +66,37 @@ func (e *Evaluator) EvalClassifierUnion(q *Query) (*algebra.Relation, error) {
 			colOf[v] = i
 		}
 		for _, row := range res.Rows {
-			nr := make(algebra.Row, 0, len(cols))
-			for _, c := range cols {
+			nr := make([]dict.ID, len(cols))
+			for j, c := range cols {
 				if id, ok := values[c]; ok {
-					nr = append(nr, algebra.TermV(id))
+					nr[j] = id
 					continue
 				}
 				i, ok := colOf[c]
 				if !ok {
 					return nil, fmt.Errorf("core: union eval lost column %q", c)
 				}
-				nr = append(nr, algebra.TermV(row[i]))
+				nr[j] = row[i]
 			}
 			// Set semantics across the union: identical rows from
 			// overlapping combinations collapse.
-			k := rowKeyCells(nr)
+			k := rowKey(nr)
 			if _, dup := seen[k]; dup {
 				continue
 			}
 			seen[k] = struct{}{}
-			out.Append(nr)
+			rows = append(rows, nr)
 		}
 	}
-	return out, nil
+	return algebra.FromIDRows(cols, rows, nil), nil
 }
 
-// rowKeyCells encodes a row of term cells for dedup.
-func rowKeyCells(row algebra.Row) string {
+// rowKey encodes a row of term IDs for dedup.
+func rowKey(row []dict.ID) string {
 	b := make([]byte, 0, len(row)*8)
-	for _, v := range row {
+	for _, id := range row {
 		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(uint64(v.ID)>>s))
+			b = append(b, byte(uint64(id)>>s))
 		}
 	}
 	return string(b)

@@ -59,7 +59,7 @@ func TestUnionEqualsFilterRandom(t *testing.T) {
 		union.Sort()
 		if !algebra.Equal(filter, union) {
 			t.Fatalf("trial %d: union vs filter classifier mismatch\n filter: %v\n union: %v",
-				trial, filter.Rows, union.Rows)
+				trial, filter.Rows(), union.Rows())
 		}
 
 		// End-to-end answers agree too.

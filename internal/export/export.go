@@ -70,11 +70,11 @@ func (o Options) abbreviate(iri string) (string, bool) {
 
 // rows materializes string cells, optionally sorted.
 func (o Options) rows(rel *algebra.Relation) [][]string {
-	out := make([][]string, len(rel.Rows))
-	for i, row := range rel.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = o.cellString(v)
+	out := make([][]string, rel.Len())
+	for i := range out {
+		cells := make([]string, len(rel.Cols))
+		for j := range cells {
+			cells[j] = o.cellString(rel.Cell(i, j))
 		}
 		out[i] = cells
 	}

@@ -111,9 +111,7 @@ func NewCtx(ctx context.Context, ev *core.Evaluator, q *core.Query) (*Maintained
 		return nil, err
 	}
 	mp.c = c
-	for _, row := range c.Rows {
-		mp.cKeys[rowKey(row)] = struct{}{}
-	}
+	indexRows(mp.cKeys, c)
 
 	// Evaluate m̄ once; each embedding becomes one keyed measure tuple.
 	mCtx, mSpan := obs.StartSpan(ctx, "incr.measure")
@@ -127,17 +125,47 @@ func NewCtx(ctx context.Context, ev *core.Evaluator, q *core.Query) (*Maintained
 	if rootCol < 0 || vCol < 0 {
 		return nil, fmt.Errorf("incr: measure head variables missing from m̄ result")
 	}
-	mp.mk = algebra.NewRelation(core.KeyCol, root, v)
-	for _, row := range res.Rows {
-		mp.mbarKeys[idKey(row)] = struct{}{}
-		mp.nextKey++
-		mp.mk.Append(algebra.Row{
-			algebra.KeyV(mp.nextKey),
-			algebra.TermV(row[rootCol]),
-			algebra.TermV(row[vCol]),
-		})
-	}
+	mp.mk = mp.keyedMeasure(res.Rows, rootCol, vCol)
 	return mp, mp.rebuildPres()
+}
+
+// keyedMeasure turns new m̄ embeddings into keyed measure tuples
+// (KeyCol, root, v): each embedding not seen before is recorded and gets
+// the next newk() key.
+func (mp *MaintainedPres) keyedMeasure(rows [][]dict.ID, rootCol, vCol int) *algebra.Relation {
+	var keys []uint64
+	var roots, vals []dict.ID
+	for _, row := range rows {
+		k := idKey(row)
+		if _, dup := mp.mbarKeys[k]; dup {
+			continue
+		}
+		mp.mbarKeys[k] = struct{}{}
+		mp.nextKey++
+		keys = append(keys, mp.nextKey)
+		roots = append(roots, row[rootCol])
+		vals = append(vals, row[vCol])
+	}
+	root, v := mp.q.Measure.Head[0], mp.q.Measure.Head[1]
+	return &algebra.Relation{
+		Cols: []string{core.KeyCol, root, v},
+		Data: []algebra.Column{
+			{Kind: algebra.KeyValue, Keys: keys},
+			{Kind: algebra.TermValue, IDs: roots},
+			{Kind: algebra.TermValue, IDs: vals},
+		},
+	}
+}
+
+// indexRows records the key of every row of a term relation in keys.
+func indexRows(keys map[string]struct{}, rel *algebra.Relation) {
+	row := make([]dict.ID, len(rel.Cols))
+	for i := 0; i < rel.Len(); i++ {
+		for j := range row {
+			row[j] = rel.Data[j].IDs[i]
+		}
+		keys[idKey(row)] = struct{}{}
+	}
 }
 
 // mbarQuery returns m̄: the measure body with every body variable
@@ -261,30 +289,26 @@ func (mp *MaintainedPres) apply(delta []store.IDTriple) (newFacts, newMeasures i
 	if err != nil {
 		return 0, 0, err
 	}
-	dims := mp.q.Dims()
-	deltaC := algebra.NewRelation(mp.c.Cols...)
-	for _, row := range cRows {
-		deltaC.Append(row)
-	}
-	pred, err := sigmaFilterFor(mp.ev, deltaC, dims, mp.q.Sigma)
+	sigma, err := core.CompileSigma(mp.inst.Dict(), mp.c.Cols, mp.q.Dims(), mp.q.Sigma)
 	if err != nil {
 		return 0, 0, err
 	}
-	deltaC = deltaC.Select(pred)
-	freshC := algebra.NewRelation(mp.c.Cols...)
-	for _, row := range deltaC.Rows {
-		k := rowKey(row)
-		if _, dup := mp.cKeys[k]; dup {
+	var fresh [][]dict.ID
+	for _, row := range cRows {
+		k := idKey(row)
+		if _, dup := mp.cKeys[k]; dup || !sigma.Row(row) {
 			continue
 		}
 		mp.cKeys[k] = struct{}{}
-		freshC.Append(row)
-		mp.c.Append(row)
+		fresh = append(fresh, row)
 	}
+	freshC := algebra.FromIDRows(mp.c.Cols, fresh, nil)
+	oldC := mp.c
+	mp.c = mp.c.Concat(freshC)
 
 	// Δm̄: new measure embeddings; each gets a fresh key.
 	root, v := mp.q.Measure.Head[0], mp.q.Measure.Head[1]
-	mRows, mVars, err := deltaFullRows(mp.inst, mp.mbarQ, delta)
+	mRows, mVars, err := deltaFullRowsProjected(mp.inst, mp.mbarQ, delta, mp.mbarQ.Vars())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -297,56 +321,27 @@ func (mp *MaintainedPres) apply(delta []store.IDTriple) (newFacts, newMeasures i
 			vCol = i
 		}
 	}
-	freshMk := algebra.NewRelation(core.KeyCol, root, v)
-	for _, row := range mRows {
-		k := idKey(row)
-		if _, dup := mp.mbarKeys[k]; dup {
-			continue
-		}
-		mp.mbarKeys[k] = struct{}{}
-		mp.nextKey++
-		nr := algebra.Row{
-			algebra.KeyV(mp.nextKey),
-			algebra.TermV(row[rootCol]),
-			algebra.TermV(row[vCol]),
-		}
-		freshMk.Append(nr)
-		mp.mk.Append(nr)
-	}
+	freshMk := mp.keyedMeasure(mRows, rootCol, vCol)
+	mp.mk = mp.mk.Concat(freshMk)
 
 	// Δpres = Δc ⋈ mk(all) ∪ c_old ⋈ Δmk. The first term uses the full
-	// mk (which already includes Δmk); the second must exclude Δc rows
-	// to avoid double-counting, so join against c *before* this batch's
-	// rows were appended — equivalently, subtract the overlap. We join
-	// freshC against full mk, and (c minus freshC) against freshMk; since
-	// c already contains freshC, build the old-c view explicitly.
-	cols := append([]string{mp.q.Root()}, dims...)
+	// mk (which already includes Δmk); the second joins the classifier
+	// as it stood before this batch, so no pair is counted twice.
+	cols := append([]string{mp.q.Root()}, mp.q.Dims()...)
 	cols = append(cols, core.KeyCol, mp.q.MeasureVar())
 
 	part1, err := freshC.Join(mp.mk, []string{mp.q.Root()}, []string{mp.q.Root()})
 	if err != nil {
 		return 0, 0, err
 	}
-	freshKeys := map[string]struct{}{}
-	for _, row := range freshC.Rows {
-		freshKeys[rowKey(row)] = struct{}{}
-	}
-	oldC := mp.c.Select(func(row algebra.Row) bool {
-		_, isFresh := freshKeys[rowKey(row)]
-		return !isFresh
-	})
 	part2, err := oldC.Join(freshMk, []string{mp.q.Root()}, []string{mp.q.Root()})
 	if err != nil {
 		return 0, 0, err
 	}
-	// Swap in a fresh relation header (rows appended copy-on-write):
-	// callers holding the previous Pres() snapshot keep a consistent
-	// view while the materialization moves forward.
-	next := &algebra.Relation{Cols: mp.pres.Cols, Rows: mp.pres.Rows}
-	for _, part := range []*algebra.Relation{part1, part2} {
-		proj := part.Project(cols...)
-		next.Rows = append(next.Rows, proj.Rows...)
-	}
+	// Concat swaps in a fresh relation header (columns extended past the
+	// old length): callers holding the previous Pres() snapshot keep a
+	// consistent view while the materialization moves forward.
+	next := mp.pres.Concat(part1.Project(cols...)).Concat(part2.Project(cols...))
 	mp.pres = next
 	mp.dirty = false
 	return freshC.Len(), freshMk.Len(), nil
@@ -367,38 +362,16 @@ func (mp *MaintainedPres) Refresh() error {
 // that use at least one delta triple. Rows may repeat across seeds; the
 // caller deduplicates. Evaluation seeds each body pattern in turn with
 // each matching delta triple and evaluates the remainder of the body.
-func deltaHeadRows(st *store.Store, q *sparql.Query, delta []store.IDTriple) ([]algebra.Row, error) {
-	full, _, err := deltaFullRowsProjected(st, q, delta, q.Head)
-	if err != nil {
-		return nil, err
-	}
-	return full, nil
-}
-
-// deltaFullRows returns the distinct full-body embeddings (all body
-// variables) using at least one delta triple, and the variable order.
-func deltaFullRows(st *store.Store, q *sparql.Query, delta []store.IDTriple) ([][]dict.ID, []string, error) {
-	vars := q.Vars()
-	rows, names, err := deltaFullRowsProjected(st, q, delta, vars)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]dict.ID, len(rows))
-	for i, row := range rows {
-		ids := make([]dict.ID, len(row))
-		for j, cell := range row {
-			ids[j] = cell.ID
-		}
-		out[i] = ids
-	}
-	return out, names, nil
+func deltaHeadRows(st *store.Store, q *sparql.Query, delta []store.IDTriple) ([][]dict.ID, error) {
+	rows, _, err := deltaFullRowsProjected(st, q, delta, q.Head)
+	return rows, err
 }
 
 // deltaFullRowsProjected enumerates embeddings touching the delta,
 // projected onto the given variables, deduplicated on the *full* body
 // binding so one embedding is reported once even if several of its
 // triples are new.
-func deltaFullRowsProjected(st *store.Store, q *sparql.Query, delta []store.IDTriple, project []string) ([]algebra.Row, []string, error) {
+func deltaFullRowsProjected(st *store.Store, q *sparql.Query, delta []store.IDTriple, project []string) ([][]dict.ID, []string, error) {
 	allVars := q.Vars()
 	varPos := map[string]int{}
 	for i, v := range allVars {
@@ -406,7 +379,7 @@ func deltaFullRowsProjected(st *store.Store, q *sparql.Query, delta []store.IDTr
 	}
 	d := st.Dict()
 	seen := map[string]struct{}{}
-	var out []algebra.Row
+	var out [][]dict.ID
 
 	for i, tp := range q.Patterns {
 		for _, t := range delta {
@@ -475,14 +448,14 @@ func deltaFullRowsProjected(st *store.Store, q *sparql.Query, delta []store.IDTr
 				if !complete {
 					return
 				}
-				k := idKeyIDs(fullRow)
+				k := idKey(fullRow)
 				if _, dup := seen[k]; dup {
 					return
 				}
 				seen[k] = struct{}{}
-				proj := make(algebra.Row, len(project))
+				proj := make([]dict.ID, len(project))
 				for pi, name := range project {
-					proj[pi] = algebra.TermV(fullRow[varPos[name]])
+					proj[pi] = fullRow[varPos[name]]
 				}
 				out = append(out, proj)
 			}
@@ -556,58 +529,8 @@ func substituteBody(q *sparql.Query, name string, t rdf.Term) {
 	}
 }
 
-// sigmaFilterFor adapts the evaluator's Σ filtering to a delta relation.
-func sigmaFilterFor(ev *core.Evaluator, rel *algebra.Relation, dims []string, sigma core.Sigma) (func(algebra.Row) bool, error) {
-	if len(sigma) == 0 {
-		return func(algebra.Row) bool { return true }, nil
-	}
-	d := ev.Instance().Dict()
-	type colSet struct {
-		col     int
-		allowed map[dict.ID]struct{}
-	}
-	var sets []colSet
-	for _, dim := range dims {
-		vals, ok := sigma[dim]
-		if !ok {
-			continue
-		}
-		col := rel.Column(dim)
-		if col < 0 {
-			return nil, fmt.Errorf("incr: Σ dimension %q missing from relation %v", dim, rel.Cols)
-		}
-		allowed := make(map[dict.ID]struct{}, len(vals))
-		for _, t := range vals {
-			if id, ok := d.Lookup(t); ok {
-				allowed[id] = struct{}{}
-			}
-		}
-		sets = append(sets, colSet{col: col, allowed: allowed})
-	}
-	return func(row algebra.Row) bool {
-		for _, s := range sets {
-			if _, ok := s.allowed[row[s.col].ID]; !ok {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-// rowKey encodes a term row.
-func rowKey(row algebra.Row) string {
-	b := make([]byte, 0, len(row)*8)
-	for _, cell := range row {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(uint64(cell.ID)>>s))
-		}
-	}
-	return string(b)
-}
-
-func idKey(row []dict.ID) string { return idKeyIDs(row) }
-
-func idKeyIDs(row []dict.ID) string {
+// idKey encodes a row of term IDs as a dedup key.
+func idKey(row []dict.ID) string {
 	b := make([]byte, 0, len(row)*8)
 	for _, id := range row {
 		for s := 0; s < 64; s += 8 {

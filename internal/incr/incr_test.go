@@ -88,7 +88,7 @@ func checkAgainstFresh(t *testing.T, mp *MaintainedPres) {
 		t.Fatal(err)
 	}
 	if !algebra.Equal(gotAns, wantAns) {
-		t.Fatalf("maintained answer diverged\n got: %v\n want: %v", gotAns.Rows, wantAns.Rows)
+		t.Fatalf("maintained answer diverged\n got: %v\n want: %v", gotAns.Rows(), wantAns.Rows())
 	}
 }
 

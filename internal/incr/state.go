@@ -102,9 +102,7 @@ func FromState(ev *core.Evaluator, q *core.Query, s *State) (*MaintainedPres, er
 		ver:      s.Ver,
 	}
 	mp.mbarQ = mbarQuery(mp.q)
-	for _, row := range s.C.Rows {
-		mp.cKeys[rowKey(row)] = struct{}{}
-	}
+	indexRows(mp.cKeys, s.C)
 	for _, k := range s.MbarKeys {
 		mp.mbarKeys[k] = struct{}{}
 	}

@@ -453,12 +453,13 @@ func buildSchema(req *SchemaRequest) (*ans.Schema, error) {
 // point). Equal cubes therefore serialize byte-identically regardless of
 // the strategy that produced them.
 func renderCube(cube *algebra.Relation, d *dict.Dictionary, strategy viewreg.Strategy, elapsedNs int64) *QueryResponse {
-	sorted := cube.Clone()
+	sorted := cube.Project(cube.Cols...) // a private header: Sort swaps its columns
 	sorted.Sort()
-	rows := make([][]string, len(sorted.Rows))
-	for i, row := range sorted.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
+	rows := make([][]string, sorted.Len())
+	for i := range rows {
+		cells := make([]string, len(sorted.Cols))
+		for j := range cells {
+			v := sorted.Cell(i, j)
 			if v.Kind == algebra.TermValue {
 				if t, ok := d.Decode(v.ID); ok {
 					cells[j] = t.String()

@@ -531,15 +531,13 @@ func (s *Server) checkpointFilesLocked() error {
 	d.commitWG.Wait()
 	t0 := time.Now()
 	var err error
-	if d.baseWAL, err = checkpointGraph(d.fsys, s.base, d.path("base.snap"), d.baseWAL, s.cfg.Mapped || s.base.Mapped()); err != nil {
+	if d.baseWAL, err = checkpointGraph(d.fsys, s.base, d.path("base.snap"), d.baseWAL, s.cfg.Mapped || s.base.Mapped(), &d.baseWALDict); err != nil {
 		return err
 	}
-	d.baseWALDict = s.base.Dict().Len() // the snapshot holds the full dictionary
 	if s.inst != s.base {
-		if d.instWAL, err = checkpointGraph(d.fsys, s.inst, d.path("inst.snap"), d.instWAL, false); err != nil {
+		if d.instWAL, err = checkpointGraph(d.fsys, s.inst, d.path("inst.snap"), d.instWAL, false, &d.instWALDict); err != nil {
 			return err
 		}
-		d.instWALDict = s.inst.Dict().Len()
 	} else {
 		if d.instWAL != nil {
 			d.instWAL.Close()
@@ -578,14 +576,22 @@ func (s *Server) checkpointFilesLocked() error {
 // format — and skipped entirely when the graph's mmap'd file already IS
 // its current frozen base (the common case after a mapped compaction:
 // only the WAL needs trimming).
-func checkpointGraph(fsys faultfs.FS, g *store.Store, snapPath string, wal *persist.WAL, v3 bool) (*persist.WAL, error) {
+//
+// On success it sets *durableDict to the dictionary length the snapshot
+// and the new WAL hold together. A written snapshot holds the full
+// dictionary; a kept mapped file only the terms up to its compaction's
+// prepare, so the WAL tail carries every term interned since — and when
+// there is no tail, the next append does.
+func checkpointGraph(fsys faultfs.FS, g *store.Store, snapPath string, wal *persist.WAL, v3 bool, durableDict *int) (*persist.WAL, error) {
 	if !g.IsFrozen() {
 		g.Freeze()
 	}
+	snapDict := g.Dict().Len()
 	switch {
 	case g.MappedBaseClean():
 		// base.snap is the mapping we serve from; rewriting it would be
 		// a byte-identical no-op at best and would churn the page cache.
+		snapDict = g.Dict().BaseLen()
 	case v3:
 		if err := persist.AtomicWriteFS(fsys, snapPath, g.WriteFrozenBaseV3); err != nil {
 			return wal, &persist.ArtifactError{Path: snapPath, Kind: "snapshot", Err: err}
@@ -595,12 +601,15 @@ func checkpointGraph(fsys faultfs.FS, g *store.Store, snapPath string, wal *pers
 			return wal, &persist.ArtifactError{Path: snapPath, Kind: "snapshot", Err: err}
 		}
 	}
+	durable := snapDict
 	var tail []persist.Batch
 	if g.DeltaLen() > 0 {
 		tail = []persist.Batch{{
-			DictLen: g.Dict().Len(),
+			DictLen: snapDict,
+			Terms:   g.Dict().TermsFrom(snapDict),
 			Triples: toPersistTriples(g.DeltaSince(0)),
 		}}
+		durable = g.Dict().Len()
 	}
 	next, err := persist.ReplaceWALFS(fsys, walPathFor(snapPath), g.Version().Base, tail)
 	if err != nil {
@@ -609,6 +618,7 @@ func checkpointGraph(fsys faultfs.FS, g *store.Store, snapPath string, wal *pers
 	if wal != nil {
 		wal.Close()
 	}
+	*durableDict = durable
 	return next, nil
 }
 

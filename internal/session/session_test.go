@@ -79,7 +79,7 @@ func answerBoth(t *testing.T, m *Manager, q *core.Query, wantStrategy Strategy) 
 	reordered := cube.Project(direct.Cols...)
 	if !algebra.Equal(direct, reordered) {
 		t.Fatalf("strategy %s returned a wrong cube\n got: %v\n want: %v",
-			strategy, reordered.Rows, direct.Rows)
+			strategy, reordered.Rows(), direct.Rows())
 	}
 	return cube
 }

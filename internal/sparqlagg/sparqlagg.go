@@ -314,14 +314,7 @@ func Eval(st *store.Store, q *Query) (*algebra.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel := algebra.NewRelation(res.Vars...)
-	for _, row := range res.Rows {
-		r := make(algebra.Row, len(row))
-		for i, id := range row {
-			r[i] = algebra.TermV(id)
-		}
-		rel.Append(r)
-	}
+	rel := algebra.FromIDRows(res.Vars, res.Rows, nil)
 	resolve := func(id dict.ID) (float64, bool) {
 		t, ok := st.Dict().Decode(id)
 		if !ok {

@@ -82,10 +82,10 @@ func TestEvalMatchesPaperExample(t *testing.T) {
 	}
 	// SPARQL counts per (age, city): 28/Madrid → 3 sites, 35/NY → 2.
 	if out.Len() != 2 {
-		t.Fatalf("groups = %d, want 2: %v", out.Len(), out.Rows)
+		t.Fatalf("groups = %d, want 2: %v", out.Len(), out.Rows())
 	}
 	vals := map[string]float64{}
-	for _, row := range out.Rows {
+	for _, row := range out.Rows() {
 		ageT, _ := st.Dict().Decode(row[0].ID)
 		cityT, _ := st.Dict().Decode(row[1].ID)
 		vals[ageT.Value()+"/"+cityT.Value()] = row[2].Num
@@ -129,7 +129,7 @@ func TestEvalAgreesWithAnQWhenBodiesCoincide(t *testing.T) {
 	}
 	key := func(rel *algebra.Relation) []string {
 		var out []string
-		for _, row := range rel.Rows {
+		for _, row := range rel.Rows() {
 			s := ""
 			for _, v := range row[:len(row)-1] {
 				s += v.String() + "|"
@@ -194,7 +194,7 @@ func TestAnQMoreExpressiveThanSPARQL(t *testing.T) {
 		t.Fatal(err)
 	}
 	get := func(rel *algebra.Relation, age string) float64 {
-		for _, row := range rel.Rows {
+		for _, row := range rel.Rows() {
 			t, _ := st.Dict().Decode(row[0].ID)
 			if t.Value() == age {
 				return row[len(row)-1].Num
@@ -230,7 +230,7 @@ func TestCountDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := map[string]float64{}
-	for _, row := range out.Rows {
+	for _, row := range out.Rows() {
 		ageT, _ := st.Dict().Decode(row[0].ID)
 		vals[ageT.Value()] = row[1].Num
 	}
@@ -253,8 +253,8 @@ func TestGlobalAggregateNoGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 || out.Rows[0][0].Num != 5 {
-		t.Errorf("global count = %v", out.Rows)
+	if out.Len() != 1 || out.Rows()[0][0].Num != 5 {
+		t.Errorf("global count = %v", out.Rows())
 	}
 }
 
@@ -288,7 +288,7 @@ func TestSumAvg(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.fn, err)
 		}
-		for _, row := range out.Rows {
+		for _, row := range out.Rows() {
 			g, _ := st.Dict().Decode(row[0].ID)
 			local := strings.TrimPrefix(g.Value(), ns)
 			if row[1].Num != tc.want[local] {
@@ -333,7 +333,7 @@ func TestIRIWithDotsInWhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 || out.Rows[0][0].Num != 1 {
-		t.Errorf("count = %v", out.Rows)
+	if out.Len() != 1 || out.Rows()[0][0].Num != 1 {
+		t.Errorf("count = %v", out.Rows())
 	}
 }

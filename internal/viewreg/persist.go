@@ -298,23 +298,24 @@ func encodeNode(e *persist.Enc, n sparql.Node) {
 }
 
 // encodeRelation serializes a relation: columns, then rows as typed
-// cells.
+// cells, each prefixed by its column's kind byte.
 func encodeRelation(e *persist.Enc, rel *algebra.Relation) {
 	e.Uvarint(uint64(len(rel.Cols)))
 	for _, c := range rel.Cols {
 		e.String(c)
 	}
-	e.Uvarint(uint64(len(rel.Rows)))
-	for _, row := range rel.Rows {
-		for _, v := range row {
-			e.Byte(byte(v.Kind))
-			switch v.Kind {
+	e.Uvarint(uint64(rel.Len()))
+	for i := 0; i < rel.Len(); i++ {
+		for j := range rel.Data {
+			col := &rel.Data[j]
+			e.Byte(byte(col.Kind))
+			switch col.Kind {
 			case algebra.TermValue:
-				e.Uvarint(uint64(v.ID))
+				e.Uvarint(uint64(col.IDs[i]))
 			case algebra.NumValue:
-				e.Float64(v.Num)
+				e.Float64(col.Nums[i])
 			case algebra.KeyValue:
-				e.Uvarint(v.Key)
+				e.Uvarint(col.Keys[i])
 			}
 		}
 	}
@@ -462,8 +463,8 @@ func decodeNode(d *persist.Dec) (sparql.Node, error) {
 	}
 }
 
-// decodeRelation mirrors encodeRelation, validating cell kinds and row
-// geometry so corrupt files fail closed.
+// decodeRelation mirrors encodeRelation, validating cell kinds (one
+// kind per column) and row geometry so corrupt files fail closed.
 func decodeRelation(d *persist.Dec) (*algebra.Relation, error) {
 	nCols := d.Count(1)
 	cols := make([]string, 0, nCols)
@@ -478,20 +479,26 @@ func decodeRelation(d *persist.Dec) (*algebra.Relation, error) {
 		elem = 1
 	}
 	nRows := d.Count(elem)
-	rel := &algebra.Relation{Cols: cols}
-	rel.Rows = make([]algebra.Row, 0, nRows)
-	cells := make([]algebra.Value, nRows*nCols)
+	rel := algebra.NewRelation(cols...)
 	for i := 0; i < nRows; i++ {
-		row := cells[i*nCols : (i+1)*nCols : (i+1)*nCols]
 		for j := 0; j < nCols; j++ {
+			col := &rel.Data[j]
 			kind := algebra.ValueKind(d.Byte())
-			switch kind {
-			case algebra.TermValue:
-				row[j] = algebra.TermV(dict.ID(d.Uvarint()))
-			case algebra.NumValue:
-				row[j] = algebra.NumV(d.Float64())
-			case algebra.KeyValue:
-				row[j] = algebra.KeyV(d.Uvarint())
+			if i == 0 {
+				col.Kind = kind
+			}
+			switch {
+			case kind != col.Kind:
+				if err := d.Err(); err != nil {
+					return nil, err
+				}
+				return nil, fmt.Errorf("%w: cell kind %d in a kind-%d column", persist.ErrCorrupt, kind, col.Kind)
+			case kind == algebra.TermValue:
+				col.IDs = append(col.IDs, dict.ID(d.Uvarint()))
+			case kind == algebra.NumValue:
+				col.Nums = append(col.Nums, d.Float64())
+			case kind == algebra.KeyValue:
+				col.Keys = append(col.Keys, d.Uvarint())
 			default:
 				if err := d.Err(); err != nil {
 					return nil, err
@@ -499,7 +506,6 @@ func decodeRelation(d *persist.Dec) (*algebra.Relation, error) {
 				return nil, fmt.Errorf("%w: bad cell kind %d", persist.ErrCorrupt, kind)
 			}
 		}
-		rel.Rows = append(rel.Rows, row)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

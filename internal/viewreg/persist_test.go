@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"rdfcube/internal/agg"
@@ -225,5 +226,74 @@ func TestSaveRestoreManyViews(t *testing.T) {
 			t.Fatalf("agg %s: strategy %s, want cached", f.Name(), strat)
 		}
 		checkAgainstDirect(t, reg2, q, cube, fmt.Sprintf("agg %s", f.Name()))
+	}
+}
+
+// TestRestoreGoldenSnapshot loads testdata/views.snap, a view snapshot
+// written by the row-based relation encoder that preceded the columnar
+// relations: instance(5, 40) plus newFact(900, 1, 42), holding a
+// maintained sum view and a plain avg view. Both must restore and
+// answer equal to direct evaluation.
+func TestRestoreGoldenSnapshot(t *testing.T) {
+	raw, err := os.ReadFile("testdata/views.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := instance(5, 40)
+	newFact(st, 900, 1, 42)
+	reg := New(st, Config{})
+	n, err := reg.Restore(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("restored %d views, want 2", n)
+	}
+	for _, f := range []agg.Func{agg.Sum, agg.Avg} {
+		q := query(t, f)
+		got, strat, err := reg.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strat != StrategyCached {
+			t.Fatalf("%s: strategy %s, want cached", f.Name(), strat)
+		}
+		checkAgainstDirect(t, reg, q, got, "golden "+f.Name())
+	}
+	if s := reg.Stats(); s.Maintained+s.LazyUpgrades > 0 || s.ByStrategy[StrategyDirect] > 0 {
+		t.Fatalf("golden restore re-evaluated: %+v", s)
+	}
+}
+
+// TestRelationEncodingGolden pins the on-disk relation encoding: one
+// kind byte per cell, rows in order, as written before relations became
+// columnar.
+func TestRelationEncodingGolden(t *testing.T) {
+	rel := algebra.NewRelation("x", "k", "v")
+	rel.Append(algebra.Row{algebra.TermV(3), algebra.KeyV(1), algebra.NumV(2.5)})
+	rel.Append(algebra.Row{algebra.TermV(300), algebra.KeyV(70000), algebra.NumV(-1)})
+	want := []byte{
+		0x03, 0x01, 0x78, 0x01, 0x6b, 0x01, 0x76, 0x02,
+		0x01, 0x03, 0x03, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,
+		0x01, 0xac, 0x02, 0x03, 0xf0, 0xa2, 0x04, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xbf,
+	}
+	var e persist.Enc
+	encodeRelation(&e, rel)
+	if !bytes.Equal(e.Bytes(), want) {
+		t.Fatalf("encoding changed:\n got % x\nwant % x", e.Bytes(), want)
+	}
+	back, err := decodeRelation(persist.NewDec(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !algebra.Equal(back, rel) {
+		t.Fatalf("decoded %v, want %v", back.Rows(), rel.Rows())
+	}
+	// A column holds one kind: a second-row number under a term column
+	// is corrupt, not a mixed column.
+	mixed := append([]byte(nil), want...)
+	mixed[21] = byte(algebra.NumValue)
+	if _, err := decodeRelation(persist.NewDec(mixed)); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("mixed-kind column decoded: err %v", err)
 	}
 }

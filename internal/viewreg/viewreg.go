@@ -994,8 +994,8 @@ func (r *Registry) Describe() string {
 }
 
 // entryOverhead covers the entry struct, query clone and map slots on
-// top of the relations' own footprint (algebra.Relation.EstimateBytes).
+// top of the relations' own cells (algebra.Relation.Bytes).
 const entryOverhead = 256
 
-// relationBytes estimates rel's resident size.
-func relationBytes(rel *algebra.Relation) int64 { return rel.EstimateBytes() }
+// relationBytes is the size of rel's column cells.
+func relationBytes(rel *algebra.Relation) int64 { return rel.Bytes() }

@@ -72,7 +72,7 @@ func checkAgainstDirect(t *testing.T, r *Registry, q *core.Query, cube *algebra.
 	}
 	if !algebra.Equal(direct, cube.Project(direct.Cols...)) {
 		t.Fatalf("%s: cube differs from direct evaluation\n got: %v\nwant: %v",
-			label, cube.Rows, direct.Rows)
+			label, cube.Rows(), direct.Rows())
 	}
 }
 
